@@ -31,6 +31,8 @@ from .states import (
     collapse,
     embed_left,
     embed_right,
+    local_collapse,
+    local_probability,
     phase_aligned_difference,
     probability,
     reduce_left,
@@ -64,6 +66,8 @@ __all__ = [
     "factor_test",
     "hermitian_eigen",
     "is_maximally_entangled",
+    "local_collapse",
+    "local_probability",
     "matmul",
     "max_entanglement_bound",
     "parse_machine",

@@ -23,15 +23,17 @@ from .sampling import random_orthonormal_pair, random_projection
 from .scenario import run_entangled_scenario, run_product_scenario
 from .states import (
     BipartiteState,
-    embed_left,
+    local_probability,
     phase_aligned_difference,
-    probability,
     singlet,
 )
 
 VALUE_TOL = 1e-10
 MOMENT_TOL = 1e-12
 SCENARIO_TOL = 1e-12
+# Largest --dim the scenario demo accepts: a run holds a few d x d complex
+# matrices and costs O(d^3), a few seconds at this size on a desktop core.
+MAX_SCENARIO_DIM = 1024
 
 
 @dataclass(frozen=True)
@@ -263,6 +265,8 @@ def _run_example7() -> DemoResult:
 def _run_action_at_a_distance(seed: int, dim: int) -> DemoResult:
     if dim < 2:
         raise ValueError("the scenario needs dimension >= 2")
+    if dim > MAX_SCENARIO_DIM:
+        raise ValueError(f"the scenario needs dimension <= {MAX_SCENARIO_DIM}, got {dim}")
     alpha = np.zeros(dim, dtype=complex)
     beta = np.zeros(dim, dtype=complex)
     alpha[0] = 1.0
@@ -283,7 +287,7 @@ def _run_action_at_a_distance(seed: int, dim: int) -> DemoResult:
     q = random_projection(rng, dim)
     entangled = run_entangled_scenario(a, b, p, q)
     joint = singlet(a, b)
-    alice = probability(joint.to_vector(), embed_left(p, dim))
+    alice = local_probability(joint, p=p)
     checks.append(
         _value_check(
             "random entangled run: N^2 vs outcome probability",

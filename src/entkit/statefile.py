@@ -14,12 +14,14 @@ or, instead of the dense block::
     2 2 -0.5i
 
 Complex literals are ``a+bi``, ``a-bi``, ``bi`` or ``a`` with optional
-scientific notation (``1.5e-3+2e4i``); a bare ``i`` means ``1i``. Without the
+scientific notation (``1.5e-3+2e4i``); a bare ``i`` means ``1i``. NaN, inf and
+literals that overflow to inf are rejected. Without the
 ``normalize`` directive the entries must already have unit norm within 1e-8.
 """
 
 from __future__ import annotations
 
+import cmath
 import re
 
 import numpy as np
@@ -30,6 +32,7 @@ _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?"
 _REAL_RE = re.compile(rf"[-+]?{_NUM}\Z")
 _IMAG_RE = re.compile(rf"(?P<coef>[-+]?{_NUM}|[-+])?i\Z")
 _FULL_RE = re.compile(rf"(?P<re>[-+]?{_NUM})(?P<im>[-+]{_NUM}|[-+])i\Z")
+_NONFINITE_RE = re.compile(r"nan|inf", re.IGNORECASE)
 
 
 class StateFileError(ValueError):
@@ -41,7 +44,15 @@ class StateFileError(ValueError):
 
 
 def parse_complex(token: str) -> complex:
-    """Parse one complex literal; raises ValueError on malformed input."""
+    """Parse one finite complex literal; raises ValueError on malformed input
+    and on NaN, inf or a value that overflows to inf (such as ``1e400``)."""
+    value = _parse_literal(token)
+    if not cmath.isfinite(value):
+        raise ValueError(f"complex literal {token!r} is not finite (overflows to inf)")
+    return value
+
+
+def _parse_literal(token: str) -> complex:
     if _REAL_RE.fullmatch(token):
         return complex(float(token), 0.0)
     match = _IMAG_RE.fullmatch(token)
@@ -60,6 +71,8 @@ def parse_complex(token: str) -> complex:
         else:
             imag_value = float(imag)
         return complex(float(match.group("re")), imag_value)
+    if _NONFINITE_RE.search(token):
+        raise ValueError(f"complex literal {token!r} is not finite")
     raise ValueError(f"malformed complex literal {token!r}")
 
 

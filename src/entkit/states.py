@@ -5,6 +5,11 @@ A two-part system state is held as its coefficient matrix: the amplitude of
 basis pair (i, j) sits at entry (i, j), or at flat index i * dim_right + j
 after row-major flattening. That layout is load-bearing for the embedded
 events built by :func:`embed_left` / :func:`embed_right` and must not change.
+
+Under it, ``(P (x) I) vec(C) = vec(P C)`` and ``(I (x) Q) vec(C) = vec(C Q^T)``,
+so :func:`local_probability` and :func:`local_collapse` evaluate one-sided
+events on the coefficient matrix as ``P C Q^T`` without building the
+``(mn) x (mn)`` operators; the embeddings stay as the layout contract.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ def as_state_vector(psi, name: str = "state") -> np.ndarray:
     vec = np.asarray(psi, dtype=complex)
     if vec.ndim != 1 or vec.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-D vector")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError(f"{name} must be finite (found NaN or inf)")
     norm_sq = float(np.sum(np.abs(vec) ** 2))
     if abs(norm_sq - 1.0) > UNIT_NORM_TOL:
         raise ValueError(f"{name} is not normalized: |norm^2 - 1| = {abs(norm_sq - 1.0):.3e}")
@@ -82,6 +89,9 @@ class BipartiteState:
         mat = np.array(self.coefficients, dtype=complex)
         if mat.ndim != 2 or mat.size == 0:
             raise ValueError("coefficients must form a non-empty 2-D matrix")
+        # NaN would slip past the norm test: abs(nan - 1) > tol is False.
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("coefficients must be finite (found NaN or inf)")
         norm_sq = float(np.sum(np.abs(mat) ** 2))
         if abs(norm_sq - 1.0) > UNIT_NORM_TOL:
             raise ValueError(
@@ -135,10 +145,7 @@ def probability(psi, p) -> float:
     mat = check_projection(p)
     if mat.shape[0] != vec.size:
         raise ValueError(f"dimension mismatch: state dim {vec.size}, event dim {mat.shape[0]}")
-    raw = complex(np.vdot(vec, mat @ vec))
-    if abs(raw.imag) > _REALNESS_TOL:
-        raise ArithmeticError(f"probability came out non-real: {raw!r}")
-    return min(1.0, max(0.0, raw.real))
+    return _real_probability(complex(np.vdot(vec, mat @ vec)))
 
 
 def collapse(psi, p) -> np.ndarray:
@@ -151,13 +158,68 @@ def collapse(psi, p) -> np.ndarray:
     mat = check_projection(p)
     if mat.shape[0] != vec.size:
         raise ValueError(f"dimension mismatch: state dim {vec.size}, event dim {mat.shape[0]}")
-    projected = mat @ vec
+    return _normalized(mat @ vec)
+
+
+def _real_probability(raw: complex) -> float:
+    """A probability <psi, E psi> as a float: real within 1e-10, clamped to [0, 1]."""
+    if abs(raw.imag) > _REALNESS_TOL:
+        raise ArithmeticError(f"probability came out non-real: {raw!r}")
+    return min(1.0, max(0.0, raw.real))
+
+
+def _normalized(projected: np.ndarray) -> np.ndarray:
+    """Rescale a projected state to unit norm, refusing a zero-probability event."""
     norm_sq = float(np.sum(np.abs(projected) ** 2))
     if norm_sq <= ZERO_PROB_TOL:
         raise ZeroProbabilityEvent(
             f"cannot condition on an event of probability {norm_sq:.3e}"
         )
     return projected / np.sqrt(norm_sq)
+
+
+def _project_locally(state: BipartiteState, p, q) -> np.ndarray:
+    """Coefficient matrix P C Q^T of (P (x) Q) applied to the state.
+
+    Each given event is validated once as a small projector; an omitted one
+    stands for the identity on its side.
+    """
+    projected = state.coefficients
+    if p is not None:
+        pm = check_projection(p, "left event")
+        if pm.shape[0] != state.dim_left:
+            raise ValueError(
+                f"dimension mismatch: left dim {state.dim_left}, left event dim {pm.shape[0]}"
+            )
+        projected = pm @ projected
+    if q is not None:
+        qm = check_projection(q, "right event")
+        if qm.shape[0] != state.dim_right:
+            raise ValueError(
+                f"dimension mismatch: right dim {state.dim_right}, right event dim {qm.shape[0]}"
+            )
+        projected = projected @ qm.T
+    return projected
+
+
+def local_probability(state: BipartiteState, p=None, q=None) -> float:
+    """Probability that left event P and right event Q both occur in the state.
+
+    Equals ``probability(state.to_vector(), embed_left(p, n) @ embed_right(q, m))``
+    for an m x n state; either event may be omitted. The value is real within
+    1e-10 and gets clamped to [0, 1].
+    """
+    return _real_probability(complex(np.vdot(state.coefficients, _project_locally(state, p, q))))
+
+
+def local_collapse(state: BipartiteState, p=None, q=None) -> BipartiteState:
+    """State after left event P and right event Q are confirmed.
+
+    The coefficient matrix of :func:`collapse` under the embedded events,
+    computed as P C Q^T / ||P C Q^T||; either event may be omitted. Raises
+    ``ZeroProbabilityEvent`` at probability at or below ``ZERO_PROB_TOL``.
+    """
+    return BipartiteState(_normalized(_project_locally(state, p, q)))
 
 
 def tensor_state(alpha, beta) -> BipartiteState:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from entkit.cli import main
+from entkit.demos import MAX_SCENARIO_DIM
 from entkit.reporting import (
     build_analysis_report,
     emit_machine,
@@ -68,6 +69,14 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", str(bad))
         assert code == 2
         assert "line 3" in err
+
+    @pytest.mark.parametrize("entry", ["nan", "1e400"])
+    def test_non_finite_entry_exits_two(self, tmp_path, capsys, entry):
+        bad = tmp_path / "bad.state"
+        bad.write_text(f"dims 2 2\nnormalize\ndense\n{entry} 0\n0 1\n")
+        code, _, err = run_cli(capsys, "analyze", str(bad))
+        assert code == 2
+        assert f"line 4: complex literal '{entry}' is not finite" in err
 
     def test_tolerance_flag_loosens_criterion(self, capsys):
         strict, _, _ = run_cli(capsys, "analyze", str(STATES / "example6.state"))
@@ -196,6 +205,16 @@ class TestDemo:
         code2, out2, _ = run_cli(capsys, "demo", "action-at-a-distance", "--seed", "5", "--dim", "4")
         assert code1 == code2 == 0
         assert out1 == out2  # deterministic under a fixed seed
+
+    @pytest.mark.parametrize(
+        "dim,message",
+        [(MAX_SCENARIO_DIM + 1, f"dimension <= {MAX_SCENARIO_DIM}"), (1, "dimension >= 2")],
+    )
+    def test_scenario_dim_out_of_range_exits_two(self, capsys, dim, message):
+        code, out, err = run_cli(capsys, "demo", "action-at-a-distance", "--dim", str(dim))
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_entangled_singlet_demo(self, capsys):
         code, out, _ = run_cli(capsys, "demo", "example1")

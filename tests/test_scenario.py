@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from entkit.demos import run_demo
 from entkit.sampling import random_orthonormal_pair, random_projection, random_state_vector
 from entkit.scenario import run_entangled_scenario, run_product_scenario
 from entkit.states import (
@@ -39,11 +40,11 @@ class TestProductScenario:
         rng = np.random.default_rng(1)
         done = 0
         while done < 1000:
-            dim = int(rng.integers(2, 5))
-            a = random_state_vector(rng, dim)
-            b = random_state_vector(rng, dim)
-            p = random_projection(rng, dim)
-            q = random_projection(rng, dim)
+            dim_a, dim_b = (int(d) for d in rng.integers(2, 5, size=2))
+            a = random_state_vector(rng, dim_a)
+            b = random_state_vector(rng, dim_b)
+            p = random_projection(rng, dim_a)
+            q = random_projection(rng, dim_b)
             if probability(a, p) <= 1e-9:
                 continue
             result = run_product_scenario(a, b, p, q)
@@ -156,3 +157,8 @@ class TestEntangledScenario:
             )
             assert 0.0 <= result.before_probability <= 1.0
             assert 0.0 <= result.after_probability <= 1.0
+
+
+def test_action_at_a_distance_demo_passes_at_dim_128():
+    result = run_demo("action-at-a-distance", seed=3, dim=128)
+    assert result.passed, [check for check in result.checks if not check.passed]

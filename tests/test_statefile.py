@@ -47,6 +47,11 @@ class TestParseComplex:
         with pytest.raises(ValueError):
             parse_complex(token)
 
+    @pytest.mark.parametrize("token", ["nan", "-inf", "Infinity", "1e400", "-2e308i", "1+1e999i"])
+    def test_non_finite_literals_say_so(self, token):
+        with pytest.raises(ValueError, match="not finite"):
+            parse_complex(token)
+
     @given(
         st.floats(allow_nan=False, allow_infinity=False, width=64),
         st.floats(allow_nan=False, allow_infinity=False, width=64),

@@ -20,6 +20,8 @@ from entkit.states import (
     embed_left,
     embed_right,
     is_projection,
+    local_collapse,
+    local_probability,
     phase_aligned_difference,
     probability,
     reduce_left,
@@ -57,6 +59,11 @@ class TestProbability:
             assert probability(psi, np.eye(dim) - p) == pytest.approx(
                 1.0 - probability(psi, p), abs=1e-10
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_state(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            probability(np.array([bad, 1.0]), np.eye(2))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -177,6 +184,83 @@ class TestEmbedding:
         assert is_projection(embed_right(p, 4))
 
 
+# Left/right dims with d <= 6, non-square shapes included, as the product
+# scenario builds them from factors of different sizes.
+LOCAL_SHAPES = [(1, 4), (2, 2), (2, 5), (3, 3), (4, 2), (5, 3), (6, 6), (6, 1)]
+
+
+def kronecker_event(p, q, dim_left, dim_right):
+    """The combined-space operator of left event p and right event q (None = identity)."""
+    op = np.eye(dim_left * dim_right, dtype=complex)
+    if p is not None:
+        op = embed_left(p, dim_right) @ op
+    if q is not None:
+        op = embed_right(q, dim_left) @ op
+    return op
+
+
+class TestLocalEvents:
+    """P C Q^T on the coefficient matrix against the embedded operators as oracle.
+
+    The projectors are complex (Haar), since a real Q cannot tell C Q^T
+    from the wrong C Q.
+    """
+
+    @pytest.mark.parametrize("shape", LOCAL_SHAPES)
+    def test_probability_matches_kronecker_oracle(self, shape):
+        m, n = shape
+        rng = np.random.default_rng(100 + 10 * m + n)
+        for _ in range(10):
+            state = random_bipartite_state(rng, m, n)
+            p = random_projection(rng, m)
+            q = random_projection(rng, n)
+            for events in ((p, None), (None, q), (p, q)):
+                oracle = probability(state.to_vector(), kronecker_event(*events, m, n))
+                assert abs(local_probability(state, *events) - oracle) <= 1e-12
+
+    @pytest.mark.parametrize("shape", LOCAL_SHAPES)
+    def test_collapse_matches_kronecker_oracle(self, shape):
+        m, n = shape
+        rng = np.random.default_rng(200 + 10 * m + n)
+        for _ in range(10):
+            state = random_bipartite_state(rng, m, n)
+            p = random_projection(rng, m)
+            q = random_projection(rng, n)
+            for events in ((p, None), (None, q), (p, q)):
+                oracle = collapse(state.to_vector(), kronecker_event(*events, m, n))
+                collapsed = local_collapse(state, *events)
+                assert collapsed.coefficients.shape == (m, n)
+                np.testing.assert_allclose(collapsed.to_vector(), oracle, rtol=0, atol=1e-12)
+
+    def test_omitted_events_are_identity(self):
+        rng = np.random.default_rng(12)
+        state = random_bipartite_state(rng, 3, 2)
+        assert local_probability(state) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(local_collapse(state).coefficients, state.coefficients, atol=1e-12)
+
+    def test_zero_probability_event(self):
+        state = tensor_state(E1, E2)
+        assert local_probability(state, p=projector(E2)) == 0.0
+        with pytest.raises(ZeroProbabilityEvent):
+            local_collapse(state, p=projector(E2))
+        with pytest.raises(ZeroProbabilityEvent):
+            local_collapse(state, q=projector(E1))
+
+    def test_dimension_mismatch(self):
+        state = tensor_state(E1, np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            local_probability(state, p=np.eye(3))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            local_collapse(state, q=np.eye(2))
+
+    def test_rejects_non_projection(self):
+        state = tensor_state(E1, E2)
+        with pytest.raises(ValueError, match="left event is not a projection"):
+            local_probability(state, p=np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="right event is not a projection"):
+            local_collapse(state, q=2.0 * np.eye(2))
+
+
 class TestSinglet:
     def test_basis_pair_matrix(self):
         state = singlet(E1, E2)
@@ -279,6 +363,13 @@ class TestBipartiteState:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
             BipartiteState(np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite(self, bad):
+        coeffs = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+        coeffs[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            BipartiteState(coeffs)
 
     def test_vector_round_trip(self):
         rng = np.random.default_rng(18)
