@@ -18,7 +18,7 @@ from .entanglement import (
     max_entanglement_bound,
     schmidt_decompose,
 )
-from .linalg import SVDResult, adjoint, hermitian_eigen, matmul, svd, trace
+from .linalg import SVDResult, hermitian_eigen, svd
 from .reporting import AnalysisReport, build_analysis_report, emit_machine, parse_machine
 from .scenario import ScenarioResult, run_entangled_scenario, run_product_scenario
 from .statefile import StateFileError, parse_state_file
@@ -54,7 +54,6 @@ __all__ = [
     "StateFileError",
     "SVDResult",
     "ZeroProbabilityEvent",
-    "adjoint",
     "apply_local_unitary",
     "build_analysis_report",
     "collapse",
@@ -68,7 +67,6 @@ __all__ = [
     "is_maximally_entangled",
     "local_collapse",
     "local_probability",
-    "matmul",
     "max_entanglement_bound",
     "parse_machine",
     "parse_state_file",
@@ -81,5 +79,4 @@ __all__ = [
     "singlet",
     "svd",
     "tensor_state",
-    "trace",
 ]

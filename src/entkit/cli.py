@@ -9,25 +9,18 @@ JSON document per run; text output renders the same numbers.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .demos import demo_names, run_demo
-from .entanglement import (
-    RANK_TOL,
-    RESIDUAL_TOL,
-    entanglement_number_schmidt,
-    entanglement_number_trace,
-    factor_test,
-    schmidt_decompose,
-)
+from .demos import demo_names
+from .entanglement import RANK_TOL, RESIDUAL_TOL
 from .reporting import (
     build_analysis_report,
-    complex_to_pair,
+    build_demo_report,
+    build_enumber_report,
+    build_factor_report,
+    build_schmidt_report,
     emit_machine,
-    format_complex,
     render_text,
-    round_sig,
 )
 from .statefile import StateFileError, parse_state_file
 
@@ -98,150 +91,38 @@ def _load_state(args):
     return parse_state_file(text, force_normalize=args.normalize)
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.format == "machine":
-        print(json.dumps(payload, indent=2))
-    else:
-        print("\n".join(text_lines))
+def _finish(args, report, factorized: bool) -> int:
+    print(emit_machine(report) if args.format == "machine" else render_text(report))
+    return EXIT_FACTORIZED if factorized else EXIT_ENTANGLED
 
 
 def _cmd_analyze(args) -> int:
     state = _load_state(args)
     report = build_analysis_report(state, residual_tol=args.tolerance, rank_tol=args.rank_tol)
-    if args.format == "machine":
-        print(emit_machine(report))
-    else:
-        print(render_text(report))
-    return EXIT_FACTORIZED if report.verdict == "factorized" else EXIT_ENTANGLED
+    return _finish(args, report, report.verdict == "factorized")
 
 
 def _cmd_schmidt(args) -> int:
     state = _load_state(args)
-    decomposition = schmidt_decompose(state, rank_tol=args.rank_tol)
-    payload = {
-        "command": "schmidt",
-        "dims": [state.dim_left, state.dim_right],
-        "index": decomposition.index,
-        "coefficients": [round_sig(s) for s in decomposition.coefficients],
-        "distribution": [round_sig(w) for w in decomposition.weights],
-        "left_states": [[complex_to_pair(z) for z in vec] for vec in decomposition.left_states],
-        "right_states": [[complex_to_pair(z) for z in vec] for vec in decomposition.right_states],
-    }
-    lines = [
-        f"dims          {state.dim_left} x {state.dim_right}",
-        f"schmidt index {payload['index']}",
-        "coefficients  " + " ".join(f"{s:.6g}" for s in payload["coefficients"]),
-        "distribution  " + " ".join(f"{w:.6g}" for w in payload["distribution"]),
-    ]
-    for i, (left, right) in enumerate(zip(payload["left_states"], payload["right_states"])):
-        lines.append(
-            f"pair {i + 1}  left:  " + " ".join(format_complex(complex(re, im)) for re, im in left)
-        )
-        lines.append(
-            f"        right: " + " ".join(format_complex(complex(re, im)) for re, im in right)
-        )
-    _emit(args, payload, lines)
-    return EXIT_FACTORIZED if decomposition.index == 1 else EXIT_ENTANGLED
+    report = build_schmidt_report(state, rank_tol=args.rank_tol)
+    return _finish(args, report, report.index == 1)
 
 
 def _cmd_enumber(args) -> int:
     state = _load_state(args)
-    payload: dict = {"command": "enumber", "method": args.method}
-    index = None
-    if args.method in ("schmidt", "both"):
-        report = entanglement_number_schmidt(state, rank_tol=args.rank_tol)
-        payload["schmidt_route"] = round_sig(report.entanglement_number)
-        payload["schmidt_index"] = report.schmidt_index
-        payload["upper_bound"] = round_sig(report.upper_bound)
-        index = report.schmidt_index
-    if args.method in ("trace", "both"):
-        report = entanglement_number_trace(state, rank_tol=args.rank_tol)
-        payload["trace_route"] = round_sig(report.entanglement_number)
-        payload["fourth_moment"] = round_sig(report.fourth_moment)
-        if index is None:
-            index = report.schmidt_index
-            payload["schmidt_index"] = report.schmidt_index
-    if args.method == "both":
-        payload["route_difference"] = round_sig(
-            abs(payload["schmidt_route"] - payload["trace_route"])
-        )
-    lines = [f"{key.replace('_', ' '):<18} {value if isinstance(value, (str, int)) else f'{value:.6g}'}"
-             for key, value in payload.items() if key != "command"]
-    _emit(args, payload, lines)
-    return EXIT_FACTORIZED if index == 1 else EXIT_ENTANGLED
+    report = build_enumber_report(state, method=args.method, rank_tol=args.rank_tol)
+    return _finish(args, report, report.index == 1)
 
 
 def _cmd_factor(args) -> int:
     state = _load_state(args)
-    verdict = factor_test(state, residual_tol=args.tolerance, rank_tol=args.rank_tol)
-    payload = {
-        "command": "factor",
-        "factorized": verdict.factorized,
-        "method": verdict.method,
-        "max_residual": round_sig(verdict.max_residual),
-        "residual_tolerance": round_sig(args.tolerance),
-        "local_left": None
-        if verdict.local_left is None
-        else [complex_to_pair(z) for z in verdict.local_left],
-        "local_right": None
-        if verdict.local_right is None
-        else [complex_to_pair(z) for z in verdict.local_right],
-    }
-    lines = [
-        f"verdict            {'factorized' if verdict.factorized else 'entangled'}",
-        f"method             {verdict.method}",
-        f"max residual       {payload['max_residual']:.6g}",
-        f"residual tolerance {payload['residual_tolerance']:.6g}",
-    ]
-    if verdict.factorized:
-        lines.append(
-            "local left         "
-            + " ".join(format_complex(complex(re, im)) for re, im in payload["local_left"])
-        )
-        lines.append(
-            "local right        "
-            + " ".join(format_complex(complex(re, im)) for re, im in payload["local_right"])
-        )
-    _emit(args, payload, lines)
-    return EXIT_FACTORIZED if verdict.factorized else EXIT_ENTANGLED
+    report = build_factor_report(state, residual_tol=args.tolerance, rank_tol=args.rank_tol)
+    return _finish(args, report, report.factorized)
 
 
 def _cmd_demo(args) -> int:
-    names = list(demo_names()) if args.name == "all" else [args.name]
-    results = [run_demo(name, seed=args.seed, dim=args.dim) for name in names]
-    payload = {
-        "command": "demo",
-        "results": [
-            {
-                "name": result.name,
-                "passed": result.passed,
-                "checks": [
-                    {
-                        "label": check.label,
-                        "expected": check.expected,
-                        "computed": check.computed,
-                        "passed": check.passed,
-                    }
-                    for check in result.checks
-                ],
-                "notes": list(result.notes),
-            }
-            for result in results
-        ],
-        "passed": all(result.passed for result in results),
-    }
-    lines = []
-    for result in results:
-        lines.append(f"demo {result.name}: {'PASS' if result.passed else 'FAIL'}")
-        for check in result.checks:
-            status = "PASS" if check.passed else "FAIL"
-            lines.append(
-                f"  [{status}] {check.label}: expected {check.expected}, computed {check.computed}"
-            )
-        for note in result.notes:
-            lines.append(f"  note: {note}")
-    _emit(args, payload, lines)
-    return EXIT_FACTORIZED if payload["passed"] else EXIT_ENTANGLED
+    report = build_demo_report(args.name, seed=args.seed, dim=args.dim)
+    return _finish(args, report, report.passed)
 
 
 _COMMANDS = {
@@ -258,10 +139,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (StateFileError, ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (StateFileError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

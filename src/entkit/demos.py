@@ -9,7 +9,7 @@ random instance of the two-lab scenario.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,12 +47,12 @@ class DemoCheck:
 @dataclass(frozen=True)
 class DemoResult:
     name: str
+    passed: bool = field(init=False)  # every check passed
     checks: tuple[DemoCheck, ...]
     notes: tuple[str, ...] = ()
 
-    @property
-    def passed(self) -> bool:
-        return all(check.passed for check in self.checks)
+    def __post_init__(self):
+        object.__setattr__(self, "passed", all(check.passed for check in self.checks))
 
 
 def _num(x: float) -> str:

@@ -215,6 +215,30 @@ def entanglement_number_schmidt(
     )
 
 
+def _trace_number(c: np.ndarray) -> tuple[float, float]:
+    """The trace route's ``(e, tr(|C|^4))`` from G = C C^*, with no eigensolve.
+
+    1 - tr(|C|^4) is twice the sum of the 2x2 principal minors of G (tr G = 1
+    for a unit-norm state). Each minor is the squared area spanned by two rows,
+    taken by vector rejection so that nearly parallel rows (product states)
+    give ~0 rather than 1e-16-scale cancellation noise that sqrt would amplify.
+    """
+    gram = c @ c.conj().T
+    fourth = float(np.sum(np.abs(gram) ** 2))
+    minor_sum = 0.0
+    m = c.shape[0]
+    for i in range(m - 1):
+        x = c[i]
+        nx = float(np.real(np.vdot(x, x)))
+        if nx <= 0.0:
+            continue  # a zero row spans no area with anything
+        for j in range(i + 1, m):
+            y = c[j]
+            rej = y - (np.vdot(x, y) / nx) * x
+            minor_sum += nx * float(np.real(np.vdot(rej, rej)))
+    return float(np.sqrt(max(0.0, 2.0 * minor_sum))), fourth
+
+
 def entanglement_number_trace(
     state: BipartiteState, rank_tol: float = RANK_TOL
 ) -> EntanglementReport:
@@ -227,27 +251,8 @@ def entanglement_number_trace(
     the report's weight distribution comes from the spectrum of G.
     """
     c = state.coefficients
-    gram = c @ c.conj().T
-    fourth = float(np.sum(np.abs(gram) ** 2))
-    # 1 - tr(|C|^4) equals twice the sum of the 2x2 principal minors of G
-    # (for a unit-norm state, since tr G = 1). Each minor is the squared area
-    # spanned by two rows, evaluated by vector rejection so that nearly
-    # parallel rows (product states) contribute exactly ~0 instead of
-    # 1e-16-scale cancellation noise that sqrt would amplify.
-    minor_sum = 0.0
-    m = c.shape[0]
-    for i in range(m - 1):
-        x = c[i]
-        nx = float(np.real(np.vdot(x, x)))
-        if nx <= 0.0:
-            continue  # a zero row spans no area with anything
-        for j in range(i + 1, m):
-            y = c[j]
-            rej = y - (np.vdot(x, y) / nx) * x
-            minor_sum += nx * float(np.real(np.vdot(rej, rej)))
-    number = float(np.sqrt(max(0.0, 2.0 * minor_sum)))
-
-    _, vecs = hermitian_eigen(gram)
+    number, fourth = _trace_number(c)
+    _, vecs = hermitian_eigen(c @ c.conj().T)
     # |C^* u_i| recovers sqrt(lambda_i) with better accuracy than the raw
     # eigenvalue when lambda_i is tiny.
     sigma = np.linalg.norm(c.conj().T @ vecs, axis=0)

@@ -1,5 +1,5 @@
-"""Dense complex-matrix kernel: products, adjoints, Hermitian eigendecomposition
-and singular value decomposition, sized for desk-scale problems (dims <= 256).
+"""Dense complex-matrix kernel: Hermitian eigendecomposition and singular value
+decomposition, sized for desk-scale problems (dims <= 256).
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import numpy as np
 HERMITIAN_TOL = 1e-10
 JACOBI_OFFDIAG_REL = 1e-14
 JACOBI_MAX_SWEEPS = 100
-EIGEN_CLAMP = 1e-12
 SVD_LEFT_TOL = 1e-12
 
 
@@ -21,30 +20,6 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
     return arr
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    am = as_complex_matrix(a, "left factor")
-    bm = as_complex_matrix(b, "right factor")
-    if am.shape[1] != bm.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: {am.shape[0]}x{am.shape[1]} times {bm.shape[0]}x{bm.shape[1]}"
-        )
-    return am @ bm
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_complex_matrix(a).conj().T.copy()
-
-
-def trace(a) -> complex:
-    """Sum of diagonal entries; the matrix must be square."""
-    arr = as_complex_matrix(a)
-    if arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"trace requires a square matrix, got shape {arr.shape}")
-    return complex(np.sum(np.diag(arr)))
 
 
 def is_hermitian(a, tol: float = HERMITIAN_TOL) -> bool:
@@ -175,7 +150,7 @@ def svd(c) -> SVDResult:
     m, n = C.shape
     # Only the eigenvectors are needed: taking each singular value as the norm
     # of C v_i sidesteps the sqrt of eigenvalues that may round slightly
-    # negative (they stay within -EIGEN_CLAMP of zero for these PSD products).
+    # negative (they stay within -1e-12 of zero for these PSD products).
     _, W = hermitian_eigen(C.conj().T @ C)
 
     k = min(m, n)

@@ -22,6 +22,7 @@ literals that overflow to inf are rejected. Without the
 from __future__ import annotations
 
 import cmath
+import math
 import re
 
 import numpy as np
@@ -161,11 +162,19 @@ def parse_state_file(text: str, force_normalize: bool = False) -> BipartiteState
     else:
         raise StateFileError(number, f"expected 'dense' or 'sparse', got {tag!r}")
 
-    norm = float(np.linalg.norm(coeffs))
+    # Divide by a power of two near the largest real or imaginary part (but at
+    # least the smallest normal float), so the norm can neither overflow nor
+    # underflow; a power of two divides exactly, so ordinary entries keep
+    # their bits.
+    largest = float(np.max(np.abs(coeffs.view(np.float64))))
+    scale = math.ldexp(1.0, max(math.frexp(largest)[1] - 1, -1022))
+    scaled = coeffs / scale
+    scaled_norm = float(np.linalg.norm(scaled))
+    norm = scale * scaled_norm
     if normalize:
-        if norm == 0.0:
+        if scaled_norm == 0.0:
             raise StateFileError(lines[-1][0], "cannot normalize an all-zero matrix")
-        coeffs = coeffs / norm
+        coeffs = scaled / scaled_norm
     elif abs(norm * norm - 1.0) > UNIT_NORM_TOL:
         raise StateFileError(
             lines[-1][0],

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -95,6 +96,20 @@ class TestAnalyze:
         assert code == 1
         doc = json.loads(out)
         assert doc["distribution"] == pytest.approx([0.64, 0.36], abs=1e-12)
+
+
+    @pytest.mark.parametrize("entry", ["1e200", "1e-200"])
+    def test_normalize_at_extreme_scales(self, tmp_path, capsys, entry):
+        unit = tmp_path / "unit.state"
+        unit.write_text("dims 2 2\nnormalize\ndense\n1 0\n0 1\n")
+        scaled = tmp_path / "scaled.state"
+        scaled.write_text(f"dims 2 2\nnormalize\ndense\n{entry} 0\n0 {entry}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "--format", "machine", "analyze", str(scaled))
+        assert (code, err) == (1, "")
+        assert json.loads(out)["distribution"] == [0.5, 0.5]
+        assert out == run_cli(capsys, "--format", "machine", "analyze", str(unit))[1]
 
 
 class TestSchmidt:

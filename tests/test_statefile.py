@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +149,28 @@ class TestParseStateFile:
     def test_zero_matrix_cannot_normalize(self):
         with pytest.raises(StateFileError, match="all-zero"):
             parse_state_file("dims 2 2\nnormalize\nsparse\n")
+        with pytest.raises(StateFileError, match="all-zero"):
+            parse_state_file("dims 2 2\nnormalize\ndense\n0 0\n0 0\n")
+
+    @pytest.mark.parametrize("entry", ["1e200", "1e-200", "1e308+1e308i", "5e-324"])
+    def test_normalize_is_scale_safe(self, entry):
+        # The norm neither overflows nor underflows, and nothing warns.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = parse_state_file(f"dims 2 2\nnormalize\ndense\n{entry} 0\n0 {entry}\n")
+        np.testing.assert_allclose(np.abs(state.coefficients), np.eye(2) / math.sqrt(2), atol=1e-15)
+
+    def test_normalize_keeps_bits_of_ordinary_entries(self):
+        # The rescaling is by a power of two, which is exact.
+        raw = np.array([[3, 1], [1, 1]], dtype=complex)
+        state = parse_state_file("dims 2 2\nnormalize\ndense\n3 1\n1 1\n")
+        assert np.array_equal(state.coefficients, raw / np.linalg.norm(raw))
+
+    def test_huge_entries_without_normalize_report_their_norm(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StateFileError, match="norm 1.41421e\\+200, not 1"):
+                parse_state_file("dims 2 2\ndense\n1e200 0\n0 1e200\n")
 
     @pytest.mark.parametrize(
         "name,expected_weights",
