@@ -14,7 +14,6 @@ from .entanglement import (
     entanglement_number_schmidt,
     entanglement_number_trace,
     factor_test,
-    is_maximally_entangled,
     max_entanglement_bound,
     schmidt_decompose,
 )
@@ -28,13 +27,9 @@ from .states import (
     NonOrthogonalInput,
     ZeroProbabilityEvent,
     apply_local_unitary,
-    collapse,
-    embed_left,
-    embed_right,
     local_collapse,
     local_probability,
     phase_aligned_difference,
-    probability,
     reduce_left,
     singlet,
     tensor_state,
@@ -56,22 +51,17 @@ __all__ = [
     "ZeroProbabilityEvent",
     "apply_local_unitary",
     "build_analysis_report",
-    "collapse",
     "emit_machine",
-    "embed_left",
-    "embed_right",
     "entanglement_number_schmidt",
     "entanglement_number_trace",
     "factor_test",
     "hermitian_eigen",
-    "is_maximally_entangled",
     "local_collapse",
     "local_probability",
     "max_entanglement_bound",
     "parse_machine",
     "parse_state_file",
     "phase_aligned_difference",
-    "probability",
     "reduce_left",
     "run_entangled_scenario",
     "run_product_scenario",

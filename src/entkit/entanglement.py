@@ -47,15 +47,6 @@ class SchmidtDecomposition:
         """The probability vector lambda_i = coefficients^2."""
         return self.coefficients**2
 
-    def to_coefficient_matrix(self) -> np.ndarray:
-        """Rebuild sum_i sqrt(lambda_i) (left_i (x) right_i) as a matrix."""
-        m = self.left_states.shape[1]
-        n = self.right_states.shape[1]
-        out = np.zeros((m, n), dtype=complex)
-        for s, l, r in zip(self.coefficients, self.left_states, self.right_states):
-            out += s * np.outer(l, r)
-        return out
-
 
 @dataclass(frozen=True)
 class FactorizationVerdict:
@@ -271,10 +262,3 @@ def entanglement_number_trace(
         method="trace-route",
         fourth_moment=fourth,
     )
-
-
-def is_maximally_entangled(state: BipartiteState, rank_tol: float = RANK_TOL) -> bool:
-    """True when the Schmidt weights are uniform at 1/r with index r >= 2,
-    equivalently when the entanglement number reaches its upper bound."""
-    decomposition = schmidt_decompose(state, rank_tol)
-    return _is_uniform(decomposition.weights, decomposition.index)

@@ -220,24 +220,30 @@ def build_schmidt_report(state: BipartiteState, rank_tol: float = RANK_TOL) -> S
 def build_enumber_report(
     state: BipartiteState, method: str = "both", rank_tol: float = RANK_TOL
 ) -> EnumberReport:
-    """The entanglement number by ``method``: "schmidt", "trace" or "both"."""
+    """The entanglement number by ``method``: "schmidt", "trace" or "both".
+
+    Only ``trace`` takes the Schmidt index from the trace route, which costs
+    that route's eigensolve; ``both`` needs just its number and fourth moment.
+    """
     if method not in ("schmidt", "trace", "both"):
         raise ValueError(f"unknown method {method!r}; choose schmidt, trace or both")
     values = {}
-    if method != "trace":
+    if method == "trace":
+        report = entanglement_number_trace(state, rank_tol=rank_tol)
+        trace_number, fourth_moment = report.entanglement_number, report.fourth_moment
+        values["trace_schmidt_index"] = report.schmidt_index
+    else:
         report = entanglement_number_schmidt(state, rank_tol=rank_tol)
         values["schmidt_route"] = round_sig(report.entanglement_number)
         values["schmidt_index"] = report.schmidt_index
         values["upper_bound"] = round_sig(report.upper_bound)
-    if method != "schmidt":
-        report = entanglement_number_trace(state, rank_tol=rank_tol)
-        values["trace_route"] = round_sig(report.entanglement_number)
-        values["fourth_moment"] = round_sig(report.fourth_moment)
-        if method == "trace":
-            values["trace_schmidt_index"] = report.schmidt_index
-    if method == "both":
-        # The difference of the two numbers as reported, that is, rounded.
-        values["route_difference"] = round_sig(abs(values["schmidt_route"] - values["trace_route"]))
+        if method == "schmidt":
+            return EnumberReport(method=method, **values)
+        trace_number, fourth_moment = _trace_number(state.coefficients)
+        # From the unrounded numbers, as in build_analysis_report.
+        values["route_difference"] = round_sig(abs(report.entanglement_number - trace_number))
+    values["trace_route"] = round_sig(trace_number)
+    values["fourth_moment"] = round_sig(fourth_moment)
     return EnumberReport(method=method, **values)
 
 

@@ -12,7 +12,8 @@ branch rather than sampling an outcome. Each closed form is cross-checked
 against the generic collapse-then-measure pipeline before being returned.
 That pipeline acts on the joint coefficient matrix as ``P C`` and ``C Q^T``
 (see :func:`~entkit.states.local_collapse`), so a run costs O(d^3) rather
-than the O(d^6) of the embedded ``d^2 x d^2`` events.
+than the O(d^6) of the embedded ``d^2 x d^2`` events. Each run validates its
+two events once, at its entry, and then applies them unchecked.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ import numpy as np
 from .states import (
     ZERO_PROB_TOL,
     ZeroProbabilityEvent,
+    _check_events,
+    _event_collapse,
+    _event_probability,
     as_state_vector,
     check_projection,
-    local_collapse,
-    local_probability,
     singlet,
     tensor_state,
 )
@@ -65,15 +67,15 @@ def run_product_scenario(alpha, beta, p, q) -> ScenarioResult:
     a = as_state_vector(alpha, "left state")
     b = as_state_vector(beta, "right state")
     joint = tensor_state(a, b)
-    # The local_* calls validate each event and its dimension.
-    alice_prob = local_probability(joint, p=p)
+    pm, qm = _check_events(joint, p, q)
+    alice_prob = _event_probability(joint, pm, None)
     if alice_prob <= ZERO_PROB_TOL:
         raise ZeroProbabilityEvent(
             f"Alice cannot confirm an event of probability {alice_prob:.3e}"
         )
 
-    before = local_probability(joint, q=q)
-    after = local_probability(local_collapse(joint, p=p), q=q)
+    before = _event_probability(joint, None, qm)
+    after = _event_probability(_event_collapse(joint, pm, None), None, qm)
 
     if abs(before - after) > MATCH_TOL:
         raise ArithmeticError(
@@ -117,7 +119,7 @@ def run_entangled_scenario(alpha, beta, p, q) -> ScenarioResult:
         )
 
     before = _clamp((float(np.real(_expect(b, qm))) + float(np.real(_expect(a, qm)))) / 2.0)
-    before_direct = local_probability(joint, q=qm)
+    before_direct = _event_probability(joint, None, qm)
     if abs(before - before_direct) > MATCH_TOL:
         raise ArithmeticError(
             f"closed-form before-probability off by {abs(before - before_direct):.3e}"
@@ -137,7 +139,7 @@ def run_entangled_scenario(alpha, beta, p, q) -> ScenarioResult:
     )
     after = _clamp(four_terms / (2.0 * norm_sq))
 
-    after_direct = local_probability(local_collapse(joint, p=pm), q=qm)
+    after_direct = _event_probability(_event_collapse(joint, pm, None), None, qm)
     if abs(after - after_direct) > MATCH_TOL:
         raise ArithmeticError(
             f"closed-form after-probability off by {abs(after - after_direct):.3e}"

@@ -3,13 +3,13 @@
 Vectors and operators are plain complex numpy arrays over the standard basis.
 A two-part system state is held as its coefficient matrix: the amplitude of
 basis pair (i, j) sits at entry (i, j), or at flat index i * dim_right + j
-after row-major flattening. That layout is load-bearing for the embedded
-events built by :func:`embed_left` / :func:`embed_right` and must not change.
-
-Under it, ``(P (x) I) vec(C) = vec(P C)`` and ``(I (x) Q) vec(C) = vec(C Q^T)``,
-so :func:`local_probability` and :func:`local_collapse` evaluate one-sided
-events on the coefficient matrix as ``P C Q^T`` without building the
-``(mn) x (mn)`` operators; the embeddings stay as the layout contract.
+after row-major flattening (:meth:`BipartiteState.to_vector`). That layout is
+load-bearing and must not change: under it ``(P (x) I) vec(C) = vec(P C)`` and
+``(I (x) Q) vec(C) = vec(C Q^T)``, so a left event P and a right event Q act
+on the coefficient matrix as ``P C Q^T`` without the ``(mn) x (mn)``
+operators. :func:`local_probability` and :func:`local_collapse` validate their
+events and then apply them; code that has validated them already calls
+:func:`_event_probability` and :func:`_event_collapse` directly.
 """
 
 from __future__ import annotations
@@ -112,13 +112,6 @@ class BipartiteState:
         """Row-major flattening onto the combined space."""
         return self.coefficients.reshape(-1)
 
-    @classmethod
-    def from_vector(cls, vec, dim_left: int, dim_right: int) -> "BipartiteState":
-        arr = np.asarray(vec, dtype=complex)
-        if arr.size != dim_left * dim_right:
-            raise ValueError("vector length does not match dims")
-        return cls(arr.reshape(dim_left, dim_right))
-
 
 @dataclass(frozen=True)
 class MixedStateReduction:
@@ -136,90 +129,72 @@ class MixedStateReduction:
         return total
 
 
-def probability(psi, p) -> float:
-    """Probability <psi, P psi> that event P occurs in state psi.
-
-    The value is real within 1e-10 by Hermiticity and gets clamped to [0, 1].
-    """
-    vec = as_state_vector(psi)
-    mat = check_projection(p)
-    if mat.shape[0] != vec.size:
-        raise ValueError(f"dimension mismatch: state dim {vec.size}, event dim {mat.shape[0]}")
-    return _real_probability(complex(np.vdot(vec, mat @ vec)))
-
-
-def collapse(psi, p) -> np.ndarray:
-    """State update P psi / ||P psi|| after event P is confirmed.
-
-    Raises ``ZeroProbabilityEvent`` when the event has probability at or
-    below ``ZERO_PROB_TOL``, where conditioning is undefined.
-    """
-    vec = as_state_vector(psi)
-    mat = check_projection(p)
-    if mat.shape[0] != vec.size:
-        raise ValueError(f"dimension mismatch: state dim {vec.size}, event dim {mat.shape[0]}")
-    return _normalized(mat @ vec)
-
-
-def _real_probability(raw: complex) -> float:
-    """A probability <psi, E psi> as a float: real within 1e-10, clamped to [0, 1]."""
-    if abs(raw.imag) > _REALNESS_TOL:
-        raise ArithmeticError(f"probability came out non-real: {raw!r}")
-    return min(1.0, max(0.0, raw.real))
-
-
-def _normalized(projected: np.ndarray) -> np.ndarray:
-    """Rescale a projected state to unit norm, refusing a zero-probability event."""
-    norm_sq = float(np.sum(np.abs(projected) ** 2))
-    if norm_sq <= ZERO_PROB_TOL:
-        raise ZeroProbabilityEvent(
-            f"cannot condition on an event of probability {norm_sq:.3e}"
-        )
-    return projected / np.sqrt(norm_sq)
-
-
-def _project_locally(state: BipartiteState, p, q) -> np.ndarray:
-    """Coefficient matrix P C Q^T of (P (x) Q) applied to the state.
-
-    Each given event is validated once as a small projector; an omitted one
-    stands for the identity on its side.
-    """
-    projected = state.coefficients
+def _check_events(state: BipartiteState, p, q) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Validate left event P and right event Q as projectors of the state's
+    left and right dimensions; an omitted event stays ``None``."""
+    pm = qm = None
     if p is not None:
         pm = check_projection(p, "left event")
         if pm.shape[0] != state.dim_left:
             raise ValueError(
                 f"dimension mismatch: left dim {state.dim_left}, left event dim {pm.shape[0]}"
             )
-        projected = pm @ projected
     if q is not None:
         qm = check_projection(q, "right event")
         if qm.shape[0] != state.dim_right:
             raise ValueError(
                 f"dimension mismatch: right dim {state.dim_right}, right event dim {qm.shape[0]}"
             )
+    return pm, qm
+
+
+def _project(state: BipartiteState, pm, qm) -> np.ndarray:
+    """P C Q^T for validated events; ``None`` stands for the identity."""
+    projected = state.coefficients
+    if pm is not None:
+        projected = pm @ projected
+    if qm is not None:
         projected = projected @ qm.T
     return projected
 
 
-def local_probability(state: BipartiteState, p=None, q=None) -> float:
-    """Probability that left event P and right event Q both occur in the state.
+def _event_probability(state: BipartiteState, pm, qm) -> float:
+    """:func:`local_probability` for events that :func:`_check_events` passed."""
+    raw = complex(np.vdot(state.coefficients, _project(state, pm, qm)))
+    if abs(raw.imag) > _REALNESS_TOL:
+        raise ArithmeticError(f"probability came out non-real: {raw!r}")
+    return min(1.0, max(0.0, raw.real))
 
-    Equals ``probability(state.to_vector(), embed_left(p, n) @ embed_right(q, m))``
-    for an m x n state; either event may be omitted. The value is real within
-    1e-10 and gets clamped to [0, 1].
+
+def _event_collapse(state: BipartiteState, pm, qm) -> BipartiteState:
+    """:func:`local_collapse` for events that :func:`_check_events` passed."""
+    projected = _project(state, pm, qm)
+    norm_sq = float(np.sum(np.abs(projected) ** 2))
+    if norm_sq <= ZERO_PROB_TOL:
+        raise ZeroProbabilityEvent(f"cannot condition on an event of probability {norm_sq:.3e}")
+    return BipartiteState(projected / np.sqrt(norm_sq))
+
+
+def local_probability(state: BipartiteState, p=None, q=None) -> float:
+    """Probability <psi, (P (x) Q) psi> that left event P and right event Q
+    both occur in the state; either event may be omitted.
+
+    Evaluated as <C, P C Q^T> on the coefficient matrix. The value is real
+    within 1e-10 by Hermiticity and gets clamped to [0, 1].
     """
-    return _real_probability(complex(np.vdot(state.coefficients, _project_locally(state, p, q))))
+    return _event_probability(state, *_check_events(state, p, q))
 
 
 def local_collapse(state: BipartiteState, p=None, q=None) -> BipartiteState:
     """State after left event P and right event Q are confirmed.
 
-    The coefficient matrix of :func:`collapse` under the embedded events,
-    computed as P C Q^T / ||P C Q^T||; either event may be omitted. Raises
-    ``ZeroProbabilityEvent`` at probability at or below ``ZERO_PROB_TOL``.
+    The update (P (x) Q) psi / ||(P (x) Q) psi|| of the row-major state vector
+    psi = vec(C), computed on the coefficient matrix as P C Q^T / ||P C Q^T||,
+    because (P (x) I) vec(C) = vec(P C) and (I (x) Q) vec(C) = vec(C Q^T);
+    either event may be omitted. Raises ``ZeroProbabilityEvent`` at
+    probability at or below ``ZERO_PROB_TOL``, where conditioning is undefined.
     """
-    return BipartiteState(_normalized(_project_locally(state, p, q)))
+    return _event_collapse(state, *_check_events(state, p, q))
 
 
 def tensor_state(alpha, beta) -> BipartiteState:
@@ -227,22 +202,6 @@ def tensor_state(alpha, beta) -> BipartiteState:
     a = as_state_vector(alpha, "left factor")
     b = as_state_vector(beta, "right factor")
     return BipartiteState(np.outer(a, b))
-
-
-def embed_left(p, dim_right: int) -> np.ndarray:
-    """Event P acting on the left part only, as P (x) I on the combined space."""
-    mat = check_projection(p, "left event")
-    if dim_right < 1:
-        raise ValueError("dim_right must be positive")
-    return np.kron(mat, np.eye(dim_right))
-
-
-def embed_right(q, dim_left: int) -> np.ndarray:
-    """Event Q acting on the right part only, as I (x) Q on the combined space."""
-    mat = check_projection(q, "right event")
-    if dim_left < 1:
-        raise ValueError("dim_left must be positive")
-    return np.kron(np.eye(dim_left), mat)
 
 
 def singlet(alpha, beta) -> BipartiteState:

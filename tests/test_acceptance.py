@@ -32,11 +32,10 @@ from entkit.scenario import run_entangled_scenario, run_product_scenario
 from entkit.states import (
     BipartiteState,
     apply_local_unitary,
-    embed_left,
     phase_aligned_difference,
-    probability,
     reduce_left,
 )
+from oracles import embed_left, probability
 
 
 def _report(number, description, failures):

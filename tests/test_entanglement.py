@@ -15,7 +15,6 @@ from entkit.entanglement import (
     entanglement_number_schmidt,
     entanglement_number_trace,
     factor_test,
-    is_maximally_entangled,
     max_entanglement_bound,
     schmidt_decompose,
 )
@@ -120,7 +119,10 @@ class TestSchmidtDecompose:
             state = random_bipartite_state(rng, m, n)
             decomposition = schmidt_decompose(state)
             assert abs(np.sum(decomposition.weights) - 1.0) <= 1e-10
-            rebuilt = decomposition.to_coefficient_matrix()
+            # sum_i sqrt(lambda_i) (left_i (x) right_i), as a matrix.
+            rebuilt = (
+                decomposition.left_states.T * decomposition.coefficients
+            ) @ decomposition.right_states
             assert np.linalg.norm(rebuilt - state.coefficients) <= 1e-9
             r = decomposition.index
             gram_left = decomposition.left_states.conj() @ decomposition.left_states.T
@@ -264,17 +266,17 @@ class TestBoundAndMaximality:
 
     def test_quartet_maximality(self):
         states = spectrum_quartet()
-        assert is_maximally_entangled(states["alpha"])
-        assert is_maximally_entangled(states["beta"])
-        assert not is_maximally_entangled(states["gamma"])
-        assert not is_maximally_entangled(states["delta"])
         reports = {k: entanglement_number_schmidt(v) for k, v in states.items()}
+        assert reports["alpha"].maximal
+        assert reports["beta"].maximal
+        assert not reports["gamma"].maximal
+        assert not reports["delta"].maximal
         assert reports["alpha"].schmidt_index == 2
         assert reports["beta"].schmidt_index == 3
 
     def test_product_state_never_maximal(self):
         rng = np.random.default_rng(13)
-        assert not is_maximally_entangled(random_product_state(rng, 3, 3))
+        assert not entanglement_number_schmidt(random_product_state(rng, 3, 3)).maximal
 
     def test_maximal_states_reach_bound(self):
         states = spectrum_quartet()

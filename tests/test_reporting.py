@@ -36,6 +36,21 @@ def test_zero_sum_analysis_runs_two_eigensolves(eigen_calls):
     assert len(eigen_calls) == 2
 
 
+@pytest.mark.parametrize("method", ["schmidt", "trace", "both"])
+def test_enumber_runs_one_eigensolve(eigen_calls, method):
+    # "both" takes only the trace route's number and moment, which need none.
+    report = build_enumber_report(two_by_two_lopsided_state(), method=method)
+    assert len(eigen_calls) == 1
+    assert report.index == 2
+
+
+def test_enumber_route_difference_matches_analyze():
+    # Both take the difference of the unrounded route numbers.
+    for state in (two_by_two_lopsided_state(), singlet_state()):
+        assert (build_enumber_report(state).route_difference
+                == build_analysis_report(state).route_difference)
+
+
 def test_enumber_rejects_unknown_method():
     with pytest.raises(ValueError, match="unknown method"):
         build_enumber_report(singlet_state(), method="svd")

@@ -3,19 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import entkit.states
 from entkit.demos import run_demo
 from entkit.sampling import random_orthonormal_pair, random_projection, random_state_vector
 from entkit.scenario import run_entangled_scenario, run_product_scenario
-from entkit.states import (
-    NonOrthogonalInput,
-    ZeroProbabilityEvent,
-    collapse,
-    embed_left,
-    embed_right,
-    probability,
-    singlet,
-    tensor_state,
-)
+from entkit.states import NonOrthogonalInput, ZeroProbabilityEvent, singlet, tensor_state
+from oracles import collapse, embed_left, embed_right, probability
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -157,6 +150,45 @@ class TestEntangledScenario:
             )
             assert 0.0 <= result.before_probability <= 1.0
             assert 0.0 <= result.after_probability <= 1.0
+
+
+NOT_A_PROJECTOR = np.array([[1.0, 1.0], [0.0, 1.0]])
+RUNS = {"product": run_product_scenario, "entangled": run_entangled_scenario}
+
+
+@pytest.mark.parametrize(
+    "run, events, message",
+    [
+        ("product", (NOT_A_PROJECTOR, np.eye(2)), "left event is not a projection"),
+        ("product", (np.eye(2), NOT_A_PROJECTOR), "right event is not a projection"),
+        ("product", (np.eye(3), np.eye(2)), "dimension mismatch: left dim 2, left event dim 3"),
+        ("product", (np.eye(2), np.eye(3)), "dimension mismatch: right dim 2, right event dim 3"),
+        ("entangled", (NOT_A_PROJECTOR, np.eye(2)), "left event is not a projection"),
+        ("entangled", (np.eye(2), NOT_A_PROJECTOR), "right event is not a projection"),
+        ("entangled", (np.eye(3), np.eye(2)), "states and events must share one dimension"),
+        ("entangled", (np.eye(2), np.eye(3)), "states and events must share one dimension"),
+    ],
+)
+def test_runs_reject_bad_events_at_entry(run, events, message):
+    with pytest.raises(ValueError, match=message):
+        RUNS[run](E1, E2, *events)
+
+
+def test_scenario_demo_validates_each_event_once(monkeypatch):
+    # Two checks per scenario run (three runs) and one for the demo's own
+    # local_probability call.
+    calls = []
+    original = entkit.states.is_projection
+
+    def counting(p, *args, **kwargs):
+        calls.append(np.shape(p))
+        return original(p, *args, **kwargs)
+
+    monkeypatch.setattr(entkit.states, "is_projection", counting)
+    result = run_demo("action-at-a-distance", seed=3, dim=16)
+    assert result.passed
+    assert len(calls) == 7
+    assert set(calls) == {(16, 16)}
 
 
 def test_action_at_a_distance_demo_passes_at_dim_128():
