@@ -34,7 +34,9 @@ TEXT_DIGITS = 6
 
 
 def round_sig(x: float, digits: int = MACHINE_DIGITS) -> float:
-    return float(f"{float(x):.{digits}g}")
+    # Adding +0.0 turns -0.0 into 0.0, so a sign the arithmetic left on a zero
+    # is never printed.
+    return float(f"{float(x):.{digits}g}") + 0.0
 
 
 def complex_to_pair(z: complex, digits: int = MACHINE_DIGITS) -> list[float]:

@@ -1,10 +1,21 @@
+import json
+
 import numpy as np
 import pytest
 
 import entkit.entanglement
 import entkit.linalg
+import entkit.reporting
 from entkit.demos import singlet_state, two_by_two_lopsided_state
-from entkit.reporting import build_analysis_report, build_enumber_report, emit_machine, parse_machine
+from entkit.entanglement import SchmidtDecomposition
+from entkit.reporting import (
+    build_analysis_report,
+    build_enumber_report,
+    build_schmidt_report,
+    emit_machine,
+    parse_machine,
+    render_text,
+)
 from entkit.states import BipartiteState
 
 
@@ -62,3 +73,21 @@ def test_round_trip_of_factorized_zero_sum_state():
     report = build_analysis_report(state)
     assert (report.verdict, report.factor_method) == ("factorized", "schmidt-rank")
     assert parse_machine(emit_machine(report)) == report
+
+
+def test_negative_zero_prints_as_zero(monkeypatch):
+    decomposition = SchmidtDecomposition(
+        coefficients=np.array([1.0, -0.0]),
+        left_states=np.array([[complex(-0.0, -0.0), 1], [1, complex(-0.0, -0.0)]]),
+        right_states=np.array([[1, complex(-0.0, -0.0)], [complex(-0.0, -0.0), 1]]),
+        index=2,
+    )
+    monkeypatch.setattr(entkit.reporting, "schmidt_decompose", lambda state, rank_tol: decomposition)
+    report = build_schmidt_report(singlet_state())
+    text = render_text(report)
+    assert "pair 1  left:  0+0i 1+0i" in text
+    assert "coefficients  1 0" in text
+    assert "-0" not in text
+    machine = emit_machine(report)
+    assert "-0.0" not in machine
+    assert json.loads(machine)["left_states"][0][0] == [0.0, 0.0]
