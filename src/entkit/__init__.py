@@ -2,9 +2,9 @@
 
 The package tells product states from entangled ones by an entrywise
 coefficient-sum criterion (with a Schmidt-rank fallback), extracts local
-parts, computes Schmidt decompositions through its own small complex-matrix
-kernel, evaluates the entanglement number by two independent routes, and
-reenacts the two-lab measurement-update scenario numerically.
+parts, computes Schmidt decompositions through a thin kernel over numpy's
+LAPACK drivers, evaluates the entanglement number by two independent routes,
+and reenacts the two-lab measurement-update scenario numerically.
 """
 
 from .entanglement import (

@@ -130,6 +130,17 @@ class TestSchmidtDecompose:
             assert np.max(np.abs(gram_left - np.eye(r))) <= 1e-10
             assert np.max(np.abs(gram_right - np.eye(r))) <= 1e-10
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_tiny_second_coefficient_keeps_true_rank(self, seed):
+        # True rank 2 with sigma_2 / sigma_1 = 1e-13: a tolerance of 1e-15 keeps
+        # the second pair and must not invent a third from rounding.
+        rng = np.random.default_rng(seed)
+        sigma = np.array([1.0, 1e-13, 0.0]) / math.hypot(1.0, 1e-13)
+        c = (random_unitary(rng, 3) * sigma) @ random_unitary(rng, 3)
+        decomposition = schmidt_decompose(BipartiteState(c), rank_tol=1e-15)
+        assert decomposition.index == 2
+        np.testing.assert_allclose(decomposition.coefficients, sigma[:2], rtol=0, atol=1e-15)
+
     def test_rank_tolerance_guard(self):
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError, match="rank tolerance"):

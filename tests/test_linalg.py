@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from entkit.linalg import hermitian_eigen, is_hermitian, svd
+from entkit.sampling import random_unitary
 
 
 def random_complex(rng, shape):
@@ -152,6 +153,18 @@ def test_svd_reconstruction_and_unitarity_random():
         assert abs(np.sum(sigma**2) - np.linalg.norm(c) ** 2) <= 1e-10 * scale**2
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_svd_graded_spectrum_accuracy(seed):
+    # sigma from 1 down to 1e-20 behind Haar factors: a decomposition through
+    # C*C squares the condition number and loses the small values.
+    rng = np.random.default_rng(seed)
+    sigma = np.logspace(0.0, -20.0, 32)
+    c = (random_unitary(rng, 32) * sigma) @ random_unitary(rng, 32)
+    result = svd(c)
+    assert np.linalg.norm(result.reconstruct() - c) <= 1e-13
+    assert np.max(np.abs(result.singular_values - sigma)) <= 1e-14
+
+
 def test_svd_zero_matrix():
     result = svd(np.zeros((3, 2)))
     np.testing.assert_allclose(result.singular_values, [0.0, 0.0], atol=0)
@@ -159,7 +172,6 @@ def test_svd_zero_matrix():
     np.testing.assert_allclose(
         result.left_vectors @ result.left_vectors.conj().T, np.eye(3), atol=1e-14
     )
-
 
 
 def test_trace_worked_fourth_power():

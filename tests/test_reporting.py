@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import entkit.entanglement
-import entkit.linalg
 import entkit.reporting
 from entkit.demos import singlet_state, two_by_two_lopsided_state
 from entkit.entanglement import SchmidtDecomposition
@@ -20,38 +19,45 @@ from entkit.states import BipartiteState
 
 
 @pytest.fixture
-def eigen_calls(monkeypatch):
+def decompositions(monkeypatch):
+    """Names of the decompositions run: each ``svd`` and ``hermitian_eigen``
+    call the entanglement routes make. The tests below keep their
+    "eigensolve" names from when ``svd`` ran on ``hermitian_eigen``."""
     calls = []
-    original = entkit.linalg.hermitian_eigen
 
-    def counting(h):
-        calls.append(h.shape)
-        return original(h)
+    def counting(name):
+        original = getattr(entkit.entanglement, name)
 
-    monkeypatch.setattr(entkit.linalg, "hermitian_eigen", counting)
-    monkeypatch.setattr(entkit.entanglement, "hermitian_eigen", counting)
+        def wrapper(matrix):
+            calls.append(name)
+            return original(matrix)
+
+        monkeypatch.setattr(entkit.entanglement, name, wrapper)
+
+    counting("svd")
+    counting("hermitian_eigen")
     return calls
 
 
-def test_analysis_runs_one_eigensolve(eigen_calls):
+def test_analysis_runs_one_eigensolve(decompositions):
     # The Schmidt route's SVD; the trace route's number and moment need none.
     report = build_analysis_report(two_by_two_lopsided_state())
-    assert len(eigen_calls) == 1
+    assert decompositions == ["svd"]
     assert report.fourth_moment == pytest.approx(17 / 18, abs=1e-12)
 
 
-def test_zero_sum_analysis_runs_two_eigensolves(eigen_calls):
+def test_zero_sum_analysis_runs_two_eigensolves(decompositions):
     # The factor test's Schmidt-rank fallback adds a second SVD.
     report = build_analysis_report(singlet_state())
     assert report.factor_method == "schmidt-rank"
-    assert len(eigen_calls) == 2
+    assert len(decompositions) == 2
 
 
 @pytest.mark.parametrize("method", ["schmidt", "trace", "both"])
-def test_enumber_runs_one_eigensolve(eigen_calls, method):
+def test_enumber_runs_one_eigensolve(decompositions, method):
     # "both" takes only the trace route's number and moment, which need none.
     report = build_enumber_report(two_by_two_lopsided_state(), method=method)
-    assert len(eigen_calls) == 1
+    assert len(decompositions) == 1
     assert report.index == 2
 
 
