@@ -22,6 +22,7 @@ from .entanglement import (
 from .sampling import random_orthonormal_pair, random_projection
 from .scenario import run_entangled_scenario, run_product_scenario
 from .states import (
+    MAX_DIM,
     BipartiteState,
     local_probability,
     phase_aligned_difference,
@@ -31,9 +32,6 @@ from .states import (
 VALUE_TOL = 1e-10
 MOMENT_TOL = 1e-12
 SCENARIO_TOL = 1e-12
-# Largest --dim the scenario demo accepts: a run holds a few d x d complex
-# matrices and costs O(d^3), a few seconds at this size on a desktop core.
-MAX_SCENARIO_DIM = 1024
 
 
 @dataclass(frozen=True)
@@ -265,8 +263,8 @@ def _run_example7() -> DemoResult:
 def _run_action_at_a_distance(seed: int, dim: int) -> DemoResult:
     if dim < 2:
         raise ValueError("the scenario needs dimension >= 2")
-    if dim > MAX_SCENARIO_DIM:
-        raise ValueError(f"the scenario needs dimension <= {MAX_SCENARIO_DIM}, got {dim}")
+    if dim > MAX_DIM:
+        raise ValueError(f"the scenario needs dimension <= {MAX_DIM}, got {dim}")
     alpha = np.zeros(dim, dtype=complex)
     beta = np.zeros(dim, dtype=complex)
     alpha[0] = 1.0

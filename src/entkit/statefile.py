@@ -13,10 +13,12 @@ or, instead of the dense block::
     1 1 0.5+0.5i
     2 2 -0.5i
 
-Complex literals are ``a+bi``, ``a-bi``, ``bi`` or ``a`` with optional
-scientific notation (``1.5e-3+2e4i``); a bare ``i`` means ``1i``. NaN, inf and
-literals that overflow to inf are rejected. Without the
-``normalize`` directive the entries must already have unit norm within 1e-8.
+Each of ``m`` and ``n`` lies in ``1 ... MAX_DIM`` (1024); larger dims are
+rejected at their line, before anything is allocated. Complex literals are
+``a+bi``, ``a-bi``, ``bi`` or ``a`` with optional scientific notation
+(``1.5e-3+2e4i``); a bare ``i`` means ``1i``. NaN, inf and literals that
+overflow to inf are rejected. Without the ``normalize`` directive the entries
+must already have unit norm within 1e-8.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import re
 
 import numpy as np
 
-from .states import UNIT_NORM_TOL, BipartiteState
+from .states import MAX_DIM, UNIT_NORM_TOL, BipartiteState
 
 _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?"
 _REAL_RE = re.compile(rf"[-+]?{_NUM}\Z")
@@ -116,6 +118,8 @@ def parse_state_file(text: str, force_normalize: bool = False) -> BipartiteState
         raise StateFileError(number, f"dims must be integers, got {fields[1]!r} {fields[2]!r}")
     if m < 1 or n < 1:
         raise StateFileError(number, "dims must be positive")
+    if max(m, n) > MAX_DIM:
+        raise StateFileError(number, f"dims must be at most {MAX_DIM}, got {m} x {n}")
 
     number, tag = take()
     normalize = force_normalize

@@ -18,6 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Largest side of a coefficient matrix taken from outside (a state file's
+# dims, the scenario demo's --dim): a d x d state holds 16 d^2 bytes and its
+# O(d^3) decompositions take seconds at this size on a desktop core.
+MAX_DIM = 1024
 UNIT_NORM_TOL = 1e-8
 PROJECTION_TOL = 1e-10
 ORTHOGONALITY_TOL = 1e-10

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from entkit.cli import main
-from entkit.demos import MAX_SCENARIO_DIM
 from entkit.reporting import (
     build_analysis_report,
     emit_machine,
@@ -16,6 +15,7 @@ from entkit.reporting import (
     render_text,
 )
 from entkit.statefile import parse_state_file
+from entkit.states import MAX_DIM
 
 STATES = Path(__file__).resolve().parent.parent / "states"
 
@@ -78,6 +78,23 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", str(bad))
         assert code == 2
         assert f"line 4: complex literal '{entry}' is not finite" in err
+
+    @pytest.mark.parametrize("dims", ["1000000 1000000", f"{MAX_DIM + 1} 1", f"1 {MAX_DIM + 1}"])
+    def test_oversized_dims_exit_two(self, tmp_path, capsys, dims):
+        # Rejected at the dims line, before the matrix is allocated.
+        bad = tmp_path / "big.state"
+        bad.write_text(f"# too large\ndims {dims}\nsparse\n1 1 1\n")
+        code, out, err = run_cli(capsys, "analyze", str(bad))
+        assert code == 2
+        assert out == ""
+        assert f"line 2: dims must be at most {MAX_DIM}" in err
+
+    def test_largest_dims_parse(self, tmp_path, capsys):
+        edge = tmp_path / "edge.state"
+        edge.write_text(f"dims {MAX_DIM} 1\nsparse\n{MAX_DIM} 1 -i\n")
+        code, out, _ = run_cli(capsys, "factor", str(edge))
+        assert code == 0
+        assert "factorized" in out
 
     def test_tolerance_flag_loosens_criterion(self, capsys):
         strict, _, _ = run_cli(capsys, "analyze", str(STATES / "example6.state"))
@@ -223,7 +240,7 @@ class TestDemo:
 
     @pytest.mark.parametrize(
         "dim,message",
-        [(MAX_SCENARIO_DIM + 1, f"dimension <= {MAX_SCENARIO_DIM}"), (1, "dimension >= 2")],
+        [(MAX_DIM + 1, f"dimension <= {MAX_DIM}"), (1, "dimension >= 2")],
     )
     def test_scenario_dim_out_of_range_exits_two(self, capsys, dim, message):
         code, out, err = run_cli(capsys, "demo", "action-at-a-distance", "--dim", str(dim))
