@@ -34,8 +34,7 @@ TEXT_DIGITS = 6
 
 
 def round_sig(x: float, digits: int = MACHINE_DIGITS) -> float:
-    # Adding +0.0 turns -0.0 into 0.0, so a sign the arithmetic left on a zero
-    # is never printed.
+    # -0.0 + 0.0 is 0.0, so no zero is ever printed with a sign.
     return float(f"{float(x):.{digits}g}") + 0.0
 
 

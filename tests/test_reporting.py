@@ -21,8 +21,8 @@ from entkit.states import BipartiteState
 @pytest.fixture
 def decompositions(monkeypatch):
     """Names of the decompositions run: each ``svd`` and ``hermitian_eigen``
-    call the entanglement routes make. The tests below keep their
-    "eigensolve" names from when ``svd`` ran on ``hermitian_eigen``."""
+    call the entanglement routes make. In the test names below, "eigensolve"
+    stands for either kind of decomposition."""
     calls = []
 
     def counting(name):
